@@ -410,6 +410,12 @@ func (f *FreePhish) runLocal() (*analysis.Study, error) {
 		return nil, err
 	}
 	defer f.stopServers()
+	// Empty poll cycles build no graph, so one empty graph here registers
+	// the poll pipeline's freephish_pipe_* series: every run exports them,
+	// even one none of whose cycles yields a fresh URL.
+	if err := f.probe(nil, f.Clock.Now()); err != nil {
+		return nil, err
+	}
 
 	f.Sim.SchedulePosts(world.PostingPlan{
 		FWBTwitter:     f.Config.scaled(f.Config.FWBTwitter),
@@ -494,22 +500,15 @@ func (f *FreePhish) finishRun() {
 
 // pollOnce is one streaming-module cycle: poll both platforms, snapshot and
 // classify every new URL, and register flagged URLs for longitudinal
-// observation.
+// observation. Both backends share the poll request path: the same
+// crawler.Poller over net/http, dispatched in-process by a
+// world.HandlerTransport or over loopback sockets.
 //
-// The cycle is a streamed dataflow: dedup runs first, single-threaded in
-// stream order (so intra-cycle reshares resolve deterministically), then
-// the fresh URLs flow through a poll → fetch → classify → ordered-apply
-// pipeline (internal/pipe). Fetch and classify each run on their own
-// worker pool connected by bounded queues, so network wait overlaps CPU
-// scoring and one slow fetch backpressures instead of buffering the cycle;
-// the reorder buffer hands results to apply in stream order the moment the
-// head-of-line item completes, which bounds per-cycle memory by (Workers +
-// QueueDepth), never by cycle size. Stage functions touch only read-only
-// or thread-safe state; every stateful effect, including all world-side
-// RNG draws, happens in the ordered apply phase, which is what makes the
-// study bit-identical at every Config.Workers and Config.QueueDepth
-// setting — and, because the apply phase issues its port calls strictly in
-// stream order, at every Config.Backend setting too.
+// Dedup runs first, single-threaded in stream order (so intra-cycle
+// reshares resolve deterministically). A cycle that leaves no fresh URL —
+// most of the six-month schedule — ends there: it builds no pipe graph
+// and starts no goroutine, so its cost is the poll round trip alone.
+// Otherwise the fresh URLs stream through probe's pipeline.
 func (f *FreePhish) pollOnce(now time.Time) (err error) {
 	sp := f.Metrics.Tracer.Start("poll")
 	defer func() {
@@ -535,6 +534,26 @@ func (f *FreePhish) pollOnce(now time.Time) (err error) {
 		}
 		fresh = append(fresh, su)
 	}
+	if len(fresh) == 0 {
+		return nil
+	}
+	return f.probe(fresh, now)
+}
+
+// probe streams the cycle's fresh URLs through a poll → fetch → classify →
+// ordered-apply pipeline (internal/pipe). Fetch and classify each run on
+// their own worker pool connected by bounded queues, so network wait
+// overlaps CPU scoring and one slow fetch backpressures instead of
+// buffering the cycle; the reorder buffer hands results to apply in stream
+// order the moment the head-of-line item completes, which bounds per-cycle
+// memory by (Workers + QueueDepth), never by cycle size. Stage functions
+// touch only read-only or thread-safe state; every stateful effect,
+// including all world-side RNG draws, happens in the ordered apply phase,
+// which is what makes the study bit-identical at every Config.Workers and
+// Config.QueueDepth setting — and, because the apply phase issues its port
+// calls strictly in stream order, at every Config.Backend setting too.
+// With no URLs it only registers the graph's freephish_pipe_* series.
+func (f *FreePhish) probe(fresh []crawler.StreamedURL, now time.Time) error {
 	p := pipe.New(context.Background(), pipe.Options{
 		Name: "poll", Registry: f.Metrics.Registry,
 		OnEmit: journalEmit(f.Metrics.Journal, "poll"),

@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"time"
 
 	"freephish/internal/features"
@@ -37,9 +38,13 @@ type StreamedURL struct {
 
 // Poller streams posts from the platform APIs.
 type Poller struct {
-	// Endpoints maps each platform to the base URL of its posts API.
+	// Endpoints maps each platform to the base URL of its posts API. The
+	// platform set is fixed by NewPoller; a base URL may still be changed.
 	Endpoints map[threat.Platform]string
-	Client    *http.Client
+	// plats is the platform set in name order, the order Poll visits it
+	// in; NewPoller sorts it once rather than every cycle.
+	plats  []threat.Platform
+	Client *http.Client
 	// Limiter, when set, gates API requests (platform quota regimes). A
 	// denied platform is skipped for the cycle; its cursor does not
 	// advance, so the next permitted poll catches up with no data loss.
@@ -81,10 +86,13 @@ func NewPoller(endpoints map[threat.Platform]string, client *http.Client, start 
 		client = &http.Client{Timeout: 15 * time.Second}
 	}
 	cur := make(map[threat.Platform]time.Time, len(endpoints))
+	plats := make([]threat.Platform, 0, len(endpoints))
 	for p := range endpoints {
 		cur[p] = start
+		plats = append(plats, p)
 	}
-	return &Poller{Endpoints: endpoints, Client: client, cursor: cur, seen: newSeenSet()}
+	sort.Slice(plats, func(i, j int) bool { return plats[i] < plats[j] })
+	return &Poller{Endpoints: endpoints, plats: plats, Client: client, cursor: cur, seen: newSeenSet()}
 }
 
 // SeenLen reports how many post IDs the dedup set currently retains.
@@ -108,14 +116,9 @@ type apiPost struct {
 // dedup set absorbs the re-delivery. Posts from pages that arrived before
 // the failure are still emitted — they were genuinely observed.
 func (p *Poller) Poll(now time.Time) ([]StreamedURL, error) {
-	plats := make([]threat.Platform, 0, len(p.Endpoints))
-	for plat := range p.Endpoints {
-		plats = append(plats, plat)
-	}
-	sort.Slice(plats, func(i, j int) bool { return plats[i] < plats[j] })
 	var out []StreamedURL
 	cyclePosts := 0
-	for _, plat := range plats {
+	for _, plat := range p.plats {
 		base := p.Endpoints[plat]
 		if p.Limiter != nil && !p.Limiter.Allow() {
 			p.Skipped++
@@ -129,8 +132,8 @@ func (p *Poller) Poll(now time.Time) ([]StreamedURL, error) {
 		// Page through the window: the platform API caps one response, so a
 		// burst of posts spans multiple requests.
 		for offset := 0; ; {
-			u := fmt.Sprintf("%s/posts?since=%s&offset=%d", base,
-				url.QueryEscape(p.cursor[plat].Format(time.RFC3339)), offset)
+			u := base + "/posts?since=" + url.QueryEscape(p.cursor[plat].Format(time.RFC3339)) +
+				"&offset=" + strconv.Itoa(offset)
 			posts, more, err := p.fetchPage(plat, u)
 			if err != nil {
 				failure = err

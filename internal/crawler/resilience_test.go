@@ -183,11 +183,20 @@ func TestSnapshotContextCancelInterruptsBackoff(t *testing.T) {
 
 // TestFetcherConcurrentSnapshots drives one shared Fetcher (with a
 // shared retry policy) from many goroutines — the shape the pipeline's
-// probe pool uses — so `go test -race` can vet the whole path.
+// probe pool uses — so `go test -race` can vet the whole path. The 503
+// fault is counted per Host, so every 5th call to a given site fails no
+// matter how the goroutines interleave: a site never sees two faults in a
+// row, which keeps it inside both the 4-attempt budget and the
+// threshold-3 breaker.
 func TestFetcherConcurrentSnapshots(t *testing.T) {
-	var calls atomic.Int64
+	var callsMu sync.Mutex
+	calls := map[string]int{}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1)%5 == 0 {
+		callsMu.Lock()
+		calls[r.Host]++
+		n := calls[r.Host]
+		callsMu.Unlock()
+		if n%5 == 0 {
 			http.Error(w, "unavailable", http.StatusServiceUnavailable)
 			return
 		}

@@ -153,6 +153,26 @@ func TestRegistrationIdempotent(t *testing.T) {
 	reg.Gauge("x_total", "x")
 }
 
+// TestWithExistingSeriesAllocatesNothing: resolving a series that already
+// exists is a lookup only; the key string is allocated on insert, never on
+// a hit. Every pipeline build resolves its stage instruments this way.
+func TestWithExistingSeriesAllocatesNothing(t *testing.T) {
+	reg := NewRegistry()
+	cv := reg.CounterVec("x_total", "x", "pipe", "stage")
+	hv := reg.HistogramVec("x_seconds", "x", nil, "pipe", "stage")
+	c, h := cv.With("poll", "fetch"), hv.With("poll", "fetch")
+	if allocs := testing.AllocsPerRun(100, func() {
+		if cv.With("poll", "fetch") != c || hv.With("poll", "fetch") != h {
+			t.Fatal("With returned a different series for the same labels")
+		}
+	}); allocs != 0 {
+		t.Fatalf("With on an existing 2-label series allocates %v objects, want 0", allocs)
+	}
+	if cv.With("poll", "classify") == c {
+		t.Fatal("distinct label values resolved to one series")
+	}
+}
+
 func TestValidNames(t *testing.T) {
 	for _, bad := range []string{"", "1abc", "a-b", "a b", "a{b}"} {
 		func() {
