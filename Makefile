@@ -110,10 +110,13 @@ bench-baseline:
 	BENCH_CASCADE_JSON=BENCH_cascade.json $(GO) test -run TestWriteCascadeBenchBaseline -v .
 	BENCH_SHARD_JSON=BENCH_shard.json $(GO) test -run TestWriteShardBenchBaseline -v .
 
-# bench-compare diffs a saved baseline against a fresh run:
-#   make bench-compare OLD=BENCH_parallel.json NEW=BENCH_parallel.new.json
-OLD ?= BENCH_parallel.json
-NEW ?= BENCH_parallel.new.json
+# bench-compare diffs two BENCH files. Both default to the committed
+# BENCH_pipeline.json, so the bare target runs and reports no change.
+# To diff a fresh run against it:
+#   BENCH_PIPELINE_JSON=BENCH_pipeline.new.json go test -run TestWriteStreamBenchBaseline .
+#   make bench-compare NEW=BENCH_pipeline.new.json
+OLD ?= BENCH_pipeline.json
+NEW ?= BENCH_pipeline.json
 bench-compare:
 	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
 

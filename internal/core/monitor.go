@@ -69,14 +69,14 @@ func (f *FreePhish) monitorFrom(rec *analysis.Record, first time.Time) {
 		sp := f.Metrics.Tracer.Start("monitor")
 		ob.MarkProbe()
 		f.Metrics.MonitorProbes.Inc()
-		// Fan the tick's still-pending checks — the live HTTP probe (feed
-		// "") plus one lookup per unlisted blocklist — through the streaming
-		// engine: every check is a read-only port call, so they run
-		// concurrently, while the Observation mutations happen in the
-		// ordered drain, keeping the record byte-identical to the old
-		// sequential loop at every (workers, queue-depth) setting. Monitor
-		// ticks fire from the single-threaded clock and the drain is
-		// ordered, so lifecycle events here keep the determinism contract.
+		// Run the tick's still-pending checks — the live HTTP probe (feed
+		// "") plus one lookup per unlisted blocklist — as a one-worker
+		// stage, which the engine fuses into a loop on the clock goroutine:
+		// a tick holds a few cheap read-only port calls, too little work to
+		// pay for a graph of goroutines, so the monitor ignores Workers
+		// and QueueDepth. The Observation mutations happen in the ordered
+		// drain, and ticks fire from the single-threaded clock, so
+		// lifecycle events here keep the determinism contract.
 		type check struct{ feed string }
 		checks := make([]check, 0, 1+len(feedNames))
 		if ob.HostDownAt.IsZero() {
@@ -95,8 +95,7 @@ func (f *FreePhish) monitorFrom(rec *analysis.Record, first time.Time) {
 			Name: "monitor", Registry: f.Metrics.Registry,
 			OnEmit: journalEmit(j, "monitor"),
 		})
-		depth := f.queueDepth()
-		st := pipe.Stage(pipe.Source(p, depth, checks), "check", f.workers(), depth,
+		st := pipe.Stage(pipe.Source(p, 0, checks), "check", 1, 0,
 			func(i int, c check) (bool, error) {
 				if c.feed == "" {
 					_, status, err := f.world.Snap.Snapshot(rec.Target.URL)

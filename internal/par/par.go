@@ -11,8 +11,10 @@
 // internal/pipe: MapOrdered is a one-stage pipeline in ContinueOnError mode
 // whose ordered drain fills a result slice, and Do is the same over an
 // index range. There is one concurrency substrate in the repository, not
-// two — par keeps only the slice-shaped convenience API and the sequential
-// fast path for w <= 1.
+// two — par keeps only the slice-shaped convenience API. At one worker the
+// engine fuses the source and the stage into a loop on the caller's
+// goroutine, which is par's sequential path: no goroutine starts, and a
+// panic still re-raises as *PanicError.
 package par
 
 import (
@@ -42,23 +44,8 @@ type PanicError = pipe.PanicError
 // panics, remaining in-flight work drains, queued work is skipped, and the
 // lowest-index panic is re-raised here wrapped in *PanicError.
 func MapOrdered[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
-	n := len(items)
-	results := make([]R, n)
-	w := N(workers)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		var firstErr error
-		for i, item := range items {
-			var err error
-			results[i], err = fn(i, item)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return results, firstErr
-	}
+	results := make([]R, len(items))
+	w := min(N(workers), max(len(items), 1))
 	p := pipe.New(context.Background(), pipe.Options{Name: "par", ContinueOnError: true})
 	st := pipe.Stage(pipe.Source(p, w, items), "map", w, w, fn)
 	err := pipe.Drain(st, func(i int, v R) error {
@@ -74,16 +61,7 @@ func MapOrdered[T, R any](workers int, items []T, fn func(i int, item T) (R, err
 // keeps the fan-in trivially ordered. Worker panics are re-raised on the
 // caller's goroutine after the pool drains.
 func Do(workers, n int, fn func(i int)) {
-	w := N(workers)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
+	w := min(N(workers), max(n, 1))
 	p := pipe.New(context.Background(), pipe.Options{Name: "par"})
 	st := pipe.Stage(pipe.Range(p, w, n), "do", w, w, func(i, _ int) (struct{}, error) {
 		fn(i)

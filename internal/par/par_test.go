@@ -51,27 +51,50 @@ func TestMapOrderedLowestIndexError(t *testing.T) {
 	}
 }
 
-func TestMapOrderedWorkerPanicPropagates(t *testing.T) {
+// mustPanicWithBoom runs body and checks it re-raises the worker panic
+// "boom" as *PanicError.
+func mustPanicWithBoom(t *testing.T, workers int, body func()) {
+	t.Helper()
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("worker panic did not propagate")
+			t.Fatalf("workers=%d: worker panic did not propagate", workers)
 		}
 		pe, ok := r.(*PanicError)
 		if !ok {
-			t.Fatalf("recovered %T, want *PanicError", r)
+			t.Fatalf("workers=%d: recovered %T, want *PanicError", workers, r)
 		}
 		if pe.Value != "boom" {
-			t.Fatalf("panic value = %v, want boom", pe.Value)
+			t.Fatalf("workers=%d: panic value = %v, want boom", workers, pe.Value)
 		}
 	}()
-	items := make([]int, 32)
-	_, _ = MapOrdered(4, items, func(i, _ int) (int, error) {
-		if i == 5 {
-			panic("boom")
-		}
-		return i, nil
-	})
+	body()
+}
+
+func TestMapOrderedWorkerPanicPropagates(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		mustPanicWithBoom(t, workers, func() {
+			items := make([]int, 32)
+			_, _ = MapOrdered(workers, items, func(i, _ int) (int, error) {
+				if i == 5 {
+					panic("boom")
+				}
+				return i, nil
+			})
+		})
+	}
+}
+
+func TestDoWorkerPanicPropagates(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		mustPanicWithBoom(t, workers, func() {
+			Do(workers, 32, func(i int) {
+				if i == 5 {
+					panic("boom")
+				}
+			})
+		})
+	}
 }
 
 func TestDoBoundedConcurrency(t *testing.T) {

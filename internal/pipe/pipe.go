@@ -7,9 +7,18 @@
 // barrier of the old par.MapOrdered-then-apply loop into a stream whose
 // memory is bounded by (workers + queue depth), never by input size.
 //
+// The exception is a source followed by a one-worker stage: the two fuse
+// into a lazy flow the drain pulls on its own goroutine, one item at a
+// time, so a Source → Stage(1) → Drain graph starts no goroutine and item
+// i+1 is not started before item i is applied. There is nothing to
+// overlap in such a graph — one worker, one consumer — so fusing it only
+// saves the goroutines, channels and reorder window. A downstream stage
+// moves a fused flow onto a goroutine of its own, so every multi-stage
+// graph keeps its cross-stage overlap at every worker count.
+//
 // The engine carries the repository's established concurrency contracts,
 // inherited from internal/par (which is now the single-stage degenerate
-// case of this package):
+// case of this package), on the fused path as on the goroutine path:
 //
 //   - Determinism: the output order is the input order at every (workers,
 //     queue-depth) setting. Parallelism trades wall-clock for cores and
@@ -98,7 +107,8 @@ type Options struct {
 	// concurrently with each other, so calls for different stages
 	// interleave nondeterministically — OnEmit feeds operational tracing
 	// (the obs journal's ring), never canonical output. It must be safe
-	// for concurrent use and cheap: it runs on the emitter goroutines.
+	// for concurrent use and cheap: it runs on the emitter goroutines, or
+	// on the goroutine pulling a fused flow.
 	OnEmit func(stage string, seq int, err error)
 }
 
@@ -190,22 +200,52 @@ type item[T any] struct {
 	err error
 }
 
-// Flow is a typed edge between stages: a bounded channel of sequenced
-// items plus the owning pipeline.
+// Flow is a typed edge between stages. A materialised flow is a bounded
+// channel of sequenced items fed by pipeline goroutines. A lazy flow —
+// a source, or a source fused with a one-worker stage — is a pull
+// function its consumer calls on its own goroutine; it gets a channel
+// only when a consumer needs it on a goroutine of its own (materialise).
 type Flow[T any] struct {
 	p     *Pipeline
 	ch    chan item[T]
+	size  int        // queue capacity
 	depth *obs.Gauge // queue occupancy of ch; nil without a registry
+	// pull yields the next item of a lazy flow; nil once materialised.
+	pull func() (item[T], bool)
+	// source marks a lazy flow that runs no stage function yet, the only
+	// kind a one-worker stage fuses onto.
+	source bool
 }
 
 func newFlow[T any](p *Pipeline, stage string, depth int) *Flow[T] {
-	f := &Flow[T]{p: p, ch: make(chan item[T], DepthOrDefault(depth))}
+	f := &Flow[T]{p: p, size: DepthOrDefault(depth)}
 	if p.reg != nil {
 		f.depth = p.reg.GaugeVec("freephish_pipe_queue_depth",
 			"Items buffered in the stage's output queue.", "pipe", "stage").
 			With(p.name, stage)
 	}
 	return f
+}
+
+// materialise gives a lazy flow its queue and one goroutine that fills
+// it, so the consumer overlaps with the flow's work. A materialised flow
+// is left as it is.
+func (f *Flow[T]) materialise() {
+	pull := f.pull
+	if pull == nil {
+		return
+	}
+	f.pull = nil
+	f.ch = make(chan item[T], f.size)
+	f.p.goRun(func() {
+		defer close(f.ch)
+		for {
+			it, ok := pull()
+			if !ok || !f.send(it) {
+				return
+			}
+		}
+	})
 }
 
 // send delivers an item downstream, honoring cancellation. It reports
@@ -223,8 +263,17 @@ func (f *Flow[T]) send(it item[T]) bool {
 }
 
 // recv takes the next item, honoring cancellation. ok is false when the
-// flow is exhausted or the pipeline stopped.
+// flow is exhausted or the pipeline stopped. A lazy flow computes the
+// item on the calling goroutine; nothing is ever queued, so its depth
+// gauge reads 0.
 func (f *Flow[T]) recv() (it item[T], ok bool) {
+	if f.pull != nil {
+		it, ok = f.pull()
+		if ok && f.depth != nil {
+			f.depth.Set(0)
+		}
+		return it, ok
+	}
 	select {
 	case it, ok = <-f.ch:
 		if ok && f.depth != nil {
@@ -238,31 +287,31 @@ func (f *Flow[T]) recv() (it item[T], ok bool) {
 
 // Source feeds a slice into the pipeline, one sequence number per element
 // starting at 0, through a queue of the given depth (0 = DefaultDepth).
+// The flow stays lazy: no goroutine runs until a consumer materialises it.
 func Source[T any](p *Pipeline, depth int, items []T) *Flow[T] {
-	f := newFlow[T](p, "source", depth)
-	p.goRun(func() {
-		defer close(f.ch)
-		for i, v := range items {
-			if !f.send(item[T]{seq: i, val: v}) {
-				return
-			}
-		}
-	})
-	return f
+	return lazySource(p, depth, len(items), func(i int) T { return items[i] })
 }
 
 // Range feeds the integers [0, n) into the pipeline — the index-space
-// source par.Do is built on.
+// source par.Do is built on. Lazy, like Source.
 func Range(p *Pipeline, depth, n int) *Flow[int] {
-	f := newFlow[int](p, "source", depth)
-	p.goRun(func() {
-		defer close(f.ch)
-		for i := 0; i < n; i++ {
-			if !f.send(item[int]{seq: i, val: i}) {
-				return
-			}
+	return lazySource(p, depth, n, func(i int) int { return i })
+}
+
+// lazySource is a source flow yielding at(0) … at(n-1), stopping early
+// once the pipeline is cancelled.
+func lazySource[T any](p *Pipeline, depth, n int, at func(i int) T) *Flow[T] {
+	f := newFlow[T](p, "source", depth)
+	f.source = true
+	next := 0
+	f.pull = func() (item[T], bool) {
+		if next == n || p.ctx.Err() != nil {
+			return item[T]{}, false
 		}
-	})
+		it := item[T]{seq: next, val: at(next)}
+		next++
+		return it, true
+	}
 	return f
 }
 
@@ -303,11 +352,37 @@ func (p *Pipeline) instruments(stage string) *stageInstruments {
 // already failed an earlier stage skip fn and pass through, preserving
 // order and lowest-index error selection. fn runs concurrently with other
 // items — it must only touch thread-safe or read-only state.
+//
+// A one-worker stage directly on a Source or Range fuses with it instead:
+// the result is a lazy flow that runs fn on whichever goroutine pulls it
+// — the drain's, or the one goroutine a downstream stage gives it.
 func Stage[In, Out any](in *Flow[In], stage string, workers, depth int, fn func(i int, v In) (Out, error)) *Flow[Out] {
 	p := in.p
 	w := Workers(workers)
 	out := newFlow[Out](p, stage, depth)
 	inst := p.instruments(stage)
+	if w == 1 && in.source {
+		out.pull = func() (item[Out], bool) {
+			it, ok := in.recv()
+			if !ok {
+				return item[Out]{}, false
+			}
+			o := item[Out]{seq: it.seq}
+			o.val, o.err = runItem(p, inst, it.seq, it.val, fn)
+			if p.ctx.Err() != nil {
+				// fn panicked or the pipeline was cancelled under it: the
+				// item is dropped, as a goroutine stage's send would be.
+				return item[Out]{}, false
+			}
+			if p.onEmit != nil {
+				p.onEmit(stage, o.seq, o.err)
+			}
+			return o, true
+		}
+		return out
+	}
+	in.materialise()
+	out.ch = make(chan item[Out], out.size)
 	// results is the unordered fan-in edge between the workers and the
 	// reorder buffer.
 	results := make(chan item[Out], w)
@@ -438,7 +513,8 @@ func runItem[In, Out any](p *Pipeline, inst *stageInstruments, seq int, v In, fn
 // fn and the lowest-index error is returned at the end. Drain blocks
 // until every pipeline goroutine has exited, re-raises the lowest-index
 // worker panic if one occurred, and otherwise returns the context's error
-// when the pipeline was cancelled externally.
+// when the pipeline was cancelled externally. Draining a lazy flow runs
+// its source and fused stage on the caller's goroutine.
 func Drain[T any](f *Flow[T], fn func(i int, v T) error) error {
 	p := f.p
 	var firstErr error
