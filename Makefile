@@ -120,6 +120,9 @@ NEW ?= BENCH_pipeline.json
 bench-compare:
 	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
 
+# clean removes generated files only: the *.new.json comparison outputs
+# and BENCH_parallel.json, which bench-baseline writes but is not
+# committed. The committed BENCH_*.json baselines stay.
 clean:
-	rm -f BENCH_obs.json BENCH_parallel.json BENCH_parallel.new.json BENCH_pipeline.json BENCH_pipeline.new.json BENCH_cascade.json BENCH_cascade.new.json BENCH_shard.json BENCH_shard.new.json
+	rm -f BENCH_*.new.json BENCH_parallel.json
 	$(GO) clean ./...

@@ -2,7 +2,9 @@ package baselines
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -191,6 +193,21 @@ func (l *LexicalScorer) ScoreURL(raw string) float64 {
 // Score implements Detector. Only the URL string is consulted.
 func (l *LexicalScorer) Score(p features.Page) (float64, error) {
 	return l.ScoreURL(p.URL), nil
+}
+
+// Save writes the trained scorer (configuration, bias and weights) to w
+// as JSON. Equal bytes mean equal fits, which is how training is checked
+// for determinism.
+func (l *LexicalScorer) Save(w io.Writer) error {
+	return json.NewEncoder(w).Encode(struct {
+		Dims   int       `json:"dims"`
+		Epochs int       `json:"epochs"`
+		LR     float64   `json:"lr"`
+		Seed   int64     `json:"seed"`
+		RNGKey string    `json:"rng_key"`
+		Bias   float64   `json:"bias"`
+		W      []float64 `json:"w"`
+	}{l.Dims, l.Epochs, l.LR, l.Seed, l.RNGKey, l.bias, l.w})
 }
 
 // Tier is a triage verdict from the classification cascade's first tier.

@@ -26,6 +26,7 @@ import (
 	"freephish/internal/faults"
 	"freephish/internal/features"
 	"freephish/internal/obs"
+	"freephish/internal/par"
 	"freephish/internal/pipe"
 	"freephish/internal/retry"
 	"freephish/internal/simclock"
@@ -332,7 +333,12 @@ func New(cfg Config) *FreePhish {
 
 // Train builds the ground-truth corpus (§4.2) and fits both the augmented
 // FreePhish model and the base StackModel used to select the self-hosted
-// comparison cohort.
+// comparison cohort, plus the cascade's lexical scorer when it is on.
+//
+// The fits share no state and each draws from its own seeded RNG stream,
+// so up to Workers of them run at once and every model is byte-identical
+// to a fit on its own. At Workers=1 they run in order on the caller's
+// goroutine; an error is reported in that order too.
 func (f *FreePhish) Train() error {
 	n := f.Config.scaled(f.Config.TrainPerClass)
 	if n < 40 {
@@ -341,13 +347,16 @@ func (f *FreePhish) Train() error {
 	fwbCorpus, selfCorpus := f.Sim.GroundTruthCorpus(n)
 	f.Model = baselines.NewFreePhishModel(f.Config.Seed)
 	f.Model.SetParallelism(f.Config.Workers)
-	if err := f.Model.Train(labeledPages(fwbCorpus)); err != nil {
-		return fmt.Errorf("core: train FreePhish model: %w", err)
-	}
 	f.BaseModel = baselines.NewBaseStackModel(f.Config.Seed)
 	f.BaseModel.SetParallelism(f.Config.Workers)
-	if err := f.BaseModel.Train(labeledPages(selfCorpus)); err != nil {
-		return fmt.Errorf("core: train base model: %w", err)
+	type fit struct {
+		what   string
+		train  func([]baselines.LabeledPage) error
+		corpus []baselines.LabeledPage
+	}
+	fits := []fit{
+		{"FreePhish model", f.Model.Train, labeledPages(fwbCorpus)},
+		{"base model", f.BaseModel.Train, labeledPages(selfCorpus)},
 	}
 	if f.Config.Cascade != nil {
 		// The triage scorer sees both cohorts' URLs (it must rank FWB and
@@ -357,9 +366,17 @@ func (f *FreePhish) Train() error {
 		// running without one.
 		f.Lexical = baselines.NewLexicalScorer(f.Config.Seed)
 		corpus := append(labeledPages(fwbCorpus), labeledPages(selfCorpus)...)
-		if err := f.Lexical.Train(corpus); err != nil {
-			return fmt.Errorf("core: train lexical scorer: %w", err)
+		fits = append(fits, fit{"lexical scorer", f.Lexical.Train, corpus})
+	}
+	if _, err := par.MapOrdered(f.workers(), fits, func(_ int, j fit) (struct{}, error) {
+		if err := j.train(j.corpus); err != nil {
+			return struct{}{}, fmt.Errorf("core: train %s: %w", j.what, err)
 		}
+		return struct{}{}, nil
+	}); err != nil {
+		return err
+	}
+	if f.Config.Cascade != nil {
 		f.cascade = &baselines.Cascade{
 			Scorer:      f.Lexical,
 			BenignBelow: f.Config.Cascade.BenignBelow,

@@ -118,25 +118,18 @@ func (gb *GradientBooster) fit(d *Dataset) error {
 	}
 	grad := make([]float64, n)
 	hess := make([]float64, n)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
 	workers := par.N(gb.Config.Parallelism)
-	ctx := &buildCtx{
-		X: d.X, grad: grad, hess: hess,
-		p: treeParams{
-			maxDepth:       gb.Config.MaxDepth,
-			maxLeaves:      gb.Config.MaxLeaves,
-			leafWise:       gb.Config.LeafWise,
-			minSamplesLeaf: gb.Config.MinSamplesLeaf,
-			lambda:         gb.Config.Lambda,
-			gamma:          gb.Config.Gamma,
-			useHessian:     gb.Config.UseHessian,
-			bins:           gb.Config.Bins,
-			workers:        workers,
-		},
-	}
+	ctx := newBuildCtx(d.X, grad, hess, treeParams{
+		maxDepth:       gb.Config.MaxDepth,
+		maxLeaves:      gb.Config.MaxLeaves,
+		leafWise:       gb.Config.LeafWise,
+		minSamplesLeaf: gb.Config.MinSamplesLeaf,
+		lambda:         gb.Config.Lambda,
+		gamma:          gb.Config.Gamma,
+		useHessian:     gb.Config.UseHessian,
+		bins:           gb.Config.Bins,
+		workers:        workers,
+	})
 	for round := 0; round < gb.Config.Rounds; round++ {
 		for i := 0; i < n; i++ {
 			p := sigmoid(raw[i])
@@ -146,7 +139,7 @@ func (gb *GradientBooster) fit(d *Dataset) error {
 				hess[i] = 1e-6
 			}
 		}
-		t := buildTree(ctx, idx)
+		t := buildTree(ctx)
 		gb.trees = append(gb.trees, t)
 		// Per-sample routing through the new tree is independent work with
 		// disjoint writes, so the update fans out when n justifies it.

@@ -3,7 +3,7 @@ package ml
 import (
 	"container/heap"
 	"math"
-	"sort"
+	"slices"
 
 	"freephish/internal/par"
 )
@@ -57,10 +57,62 @@ func (t *regTree) predict(x []float64) float64 {
 
 // buildCtx carries the gradient statistics during growth.
 type buildCtx struct {
-	X    [][]float64
+	// cols holds the training matrix feature-major (cols[f][i] = X[i][f]):
+	// every node's index set is ascending, so reading one feature over it
+	// walks one column forward instead of touching a row per value.
+	cols [][]float64
 	grad []float64
 	hess []float64
 	p    treeParams
+	// root is every row in ascending order: the rows each tree's root node
+	// splits. Across a fit's rounds only the gradients change, so the
+	// root's sorted order on feature f is the same every round;
+	// rootOrder[f] holds it from the first round that needs it on.
+	root      []int
+	rootOrder [][]valRow
+	// spare[f] is the sort buffer of feature f's searches below the root.
+	// Only one search per feature runs at a time and none keeps its order,
+	// so one buffer per feature serves the whole fit.
+	spare [][]valRow
+}
+
+// newBuildCtx returns a growth context over every row of X.
+func newBuildCtx(X [][]float64, grad, hess []float64, p treeParams) *buildCtx {
+	n, nFeat := len(X), 0
+	if n > 0 {
+		nFeat = len(X[0])
+	}
+	c := &buildCtx{
+		cols: make([][]float64, nFeat), grad: grad, hess: hess, p: p,
+		root: make([]int, n), rootOrder: make([][]valRow, nFeat), spare: make([][]valRow, nFeat),
+	}
+	flat := make([]float64, n*nFeat)
+	for f := range c.cols {
+		c.cols[f] = flat[f*n : (f+1)*n : (f+1)*n]
+	}
+	for i, x := range X {
+		c.root[i] = i
+		for f, v := range x {
+			c.cols[f][i] = v
+		}
+	}
+	return c
+}
+
+// valRow is one row's value on the feature being split, stored next to
+// the row so the sort and the scan read contiguous memory.
+type valRow struct {
+	v   float64
+	row int
+}
+
+// cmpValRow orders by value alone, reporting equal values as equal: the
+// comparisons pdqsort sees are exactly sort.Slice's less(a, b) = a < b.
+func cmpValRow(a, b valRow) int {
+	if a.v < b.v {
+		return -1
+	}
+	return 0
 }
 
 func (c *buildCtx) leafValue(idx []int) float64 {
@@ -101,15 +153,16 @@ type split struct {
 	ok        bool
 }
 
-// findSplit searches all features for the best split over idx.
-func (c *buildCtx) findSplit(idx []int) split {
+// findSplit searches all features for the best split over idx; root
+// reports that idx is c.root, whose sorted orders are reused.
+func (c *buildCtx) findSplit(idx []int, root bool) split {
 	var totG, totH float64
 	for _, i := range idx {
 		totG += c.grad[i]
 		totH += c.hess[i]
 	}
 	base := c.score(totG, totH, len(idx))
-	nFeat := len(c.X[0])
+	nFeat := len(c.cols)
 	// Features are searched independently (possibly concurrently) into a
 	// per-feature slot, then reduced in ascending feature order with the
 	// same strict-improvement rule the serial scan used — so ties between
@@ -119,7 +172,7 @@ func (c *buildCtx) findSplit(idx []int) split {
 		if c.p.bins > 0 {
 			splits[f] = c.histSplit(idx, f, totG, totH, base)
 		} else {
-			splits[f] = c.exactSplit(idx, f, totG, totH, base)
+			splits[f] = c.exactSplit(idx, f, root, totG, totH, base)
 		}
 	}
 	if c.p.workers > 1 && len(idx) >= parallelSplitMinRows {
@@ -140,8 +193,9 @@ func (c *buildCtx) findSplit(idx []int) split {
 		return split{}
 	}
 	// Materialize partitions once for the winning split.
+	col := c.cols[best.feature]
 	for _, i := range idx {
-		if c.X[i][best.feature] <= best.threshold {
+		if col[i] <= best.threshold {
 			best.leftIdx = append(best.leftIdx, i)
 		} else {
 			best.rightIdx = append(best.rightIdx, i)
@@ -153,18 +207,46 @@ func (c *buildCtx) findSplit(idx []int) split {
 	return best
 }
 
-// exactSplit sorts the feature values and scans all midpoints.
-func (c *buildCtx) exactSplit(idx []int, f int, totG, totH, base float64) split {
-	ord := make([]int, len(idx))
-	copy(ord, idx)
-	sort.Slice(ord, func(a, b int) bool { return c.X[ord[a]][f] < c.X[ord[b]][f] })
+// exactSplit sorts idx's rows by feature f and scans every midpoint
+// between distinct values.
+//
+// The sort is pdqsort over (value, row) pairs with a value-only
+// comparator: slices.SortFunc runs the same generated pdqsort as
+// sort.Slice and its choices depend only on comparison outcomes, so the
+// rows come out in the order sort.Slice over idx would leave them, tie
+// order included, without the reflective swapper or the double-indirect
+// less. Tie order matters: the prefix sums lg/lh add gradients in that
+// order, float addition is not associative, and a different order moves
+// gains, thresholds and finally the saved model's bytes. That is why
+// each child node sorts its own rows instead of filtering a presorted
+// parent order — pdqsort on a subset does not order ties the way the
+// parent's sort did. Only the root is sorted once per fit (rootOrder):
+// its rows and values are the same every round.
+func (c *buildCtx) exactSplit(idx []int, f int, root bool, totG, totH, base float64) split {
+	ord := c.rootOrder[f]
+	if !root || ord == nil {
+		if root {
+			ord = make([]valRow, len(idx))
+			c.rootOrder[f] = ord
+		} else {
+			if c.spare[f] == nil {
+				c.spare[f] = make([]valRow, len(c.root))
+			}
+			ord = c.spare[f][:len(idx)]
+		}
+		col := c.cols[f]
+		for k, i := range idx {
+			ord[k] = valRow{col[i], i}
+		}
+		slices.SortFunc(ord, cmpValRow)
+	}
 	var lg, lh float64
 	best := split{feature: f}
 	for k := 0; k < len(ord)-1; k++ {
-		i := ord[k]
+		i := ord[k].row
 		lg += c.grad[i]
 		lh += c.hess[i]
-		v, next := c.X[i][f], c.X[ord[k+1]][f]
+		v, next := ord[k].v, ord[k+1].v
 		if v == next {
 			continue
 		}
@@ -184,9 +266,10 @@ func (c *buildCtx) exactSplit(idx []int, f int, totG, totH, base float64) split 
 // histSplit bins the feature into equal-width histogram buckets and scans
 // bucket boundaries — the LightGBM speed trick.
 func (c *buildCtx) histSplit(idx []int, f int, totG, totH, base float64) split {
+	col := c.cols[f]
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, i := range idx {
-		v := c.X[i][f]
+		v := col[i]
 		if v < lo {
 			lo = v
 		}
@@ -203,7 +286,7 @@ func (c *buildCtx) histSplit(idx []int, f int, totG, totH, base float64) split {
 	ns := make([]int, nb)
 	width := (hi - lo) / float64(nb)
 	for _, i := range idx {
-		b := int((c.X[i][f] - lo) / width)
+		b := int((col[i] - lo) / width)
 		if b >= nb {
 			b = nb - 1
 		}
@@ -231,13 +314,13 @@ func (c *buildCtx) histSplit(idx []int, f int, totG, totH, base float64) split {
 	return best
 }
 
-// buildTree grows one regression tree over the given rows.
-func buildTree(ctx *buildCtx, idx []int) *regTree {
+// buildTree grows one regression tree over every row of the context.
+func buildTree(ctx *buildCtx) *regTree {
 	t := &regTree{}
 	if ctx.p.leafWise {
-		buildLeafWise(ctx, t, idx)
+		buildLeafWise(ctx, t, ctx.root)
 	} else {
-		buildDepthWise(ctx, t, idx, 0)
+		buildDepthWise(ctx, t, ctx.root, 0)
 	}
 	return t
 }
@@ -248,7 +331,7 @@ func buildDepthWise(ctx *buildCtx, t *regTree, idx []int, depth int) int {
 	if depth >= ctx.p.maxDepth || len(idx) < 2*ctx.p.minSamplesLeaf {
 		return node
 	}
-	s := ctx.findSplit(idx)
+	s := ctx.findSplit(idx, depth == 0)
 	if !s.ok {
 		return node
 	}
@@ -287,7 +370,7 @@ func buildLeafWise(ctx *buildCtx, t *regTree, idx []int) {
 		return
 	}
 	h := &candHeap{}
-	if s := ctx.findSplit(idx); s.ok {
+	if s := ctx.findSplit(idx, true); s.ok {
 		heap.Push(h, candidate{node: 0, idx: idx, split: s, depth: 0})
 	}
 	for h.Len() > 0 && leaves < maxLeaves {
@@ -304,10 +387,10 @@ func buildLeafWise(ctx *buildCtx, t *regTree, idx []int) {
 		t.nodes[n].right = r
 		leaves++ // one leaf became two
 		if c.depth+1 < ctx.p.maxDepth {
-			if s := ctx.findSplit(c.split.leftIdx); s.ok {
+			if s := ctx.findSplit(c.split.leftIdx, false); s.ok {
 				heap.Push(h, candidate{node: l, idx: c.split.leftIdx, split: s, depth: c.depth + 1})
 			}
-			if s := ctx.findSplit(c.split.rightIdx); s.ok {
+			if s := ctx.findSplit(c.split.rightIdx, false); s.ok {
 				heap.Push(h, candidate{node: r, idx: c.split.rightIdx, split: s, depth: c.depth + 1})
 			}
 		}
